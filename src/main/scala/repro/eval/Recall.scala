@@ -16,17 +16,25 @@ object Recall {
     * queries near a dataset boundary (fewer than k true neighbors) are
     * handled exactly.
     */
-  def atK(results: DataFrame, truth: DataFrame, k: Int): Double = {
-    val r = results.filter(col("rank") <= k).select("qid", "id")
-    val t = truth.filter(col("rank") <= k).select("qid", "id")
-    val denom = t.count()
-    if (denom == 0) 0.0
-    else r.join(t, Seq("qid", "id")).count().toDouble / denom
-  }
+  def atK(results: DataFrame, truth: DataFrame, k: Int): Double =
+    atKs(results, truth, Seq(k))(k)
 
-  /** Recall at several cutoffs in one call (Tables 1 and 4 report
-    * R@{1,5,10,15,50,100}).
+  /** Recall at several cutoffs in one pass (Tables 1 and 4 report
+    * R@{1,5,10,15,50,100}): one join and one aggregation count the matches
+    * at every cutoff, one aggregation over truth counts the denominators.
     */
-  def atKs(results: DataFrame, truth: DataFrame, ks: Seq[Int]): Map[Int, Double] =
-    ks.map(k => k -> atK(results, truth, k)).toMap
+  def atKs(results: DataFrame, truth: DataFrame, ks: Seq[Int]): Map[Int, Double] = {
+    def upToMax(df: DataFrame) = df.filter(col("rank") <= ks.max).select("qid", "id", "rank")
+    def countsAtOrUnder(ranks: DataFrame): Seq[Long] = {
+      val row = ranks.select(ks.map(k => count(when(col("rank") <= k, 1))): _*).head()
+      ks.indices.map(row.getLong)
+    }
+    val t = upToMax(truth)
+    // A match counts at cutoff k once both its result rank and its true rank are ≤ k.
+    val matched = upToMax(results).withColumnRenamed("rank", "rRank").join(t, Seq("qid", "id"))
+      .select(greatest(col("rRank"), col("rank")).as("rank"))
+    ks.lazyZip(countsAtOrUnder(matched)).lazyZip(countsAtOrUnder(t)).map { (k, hits, n) =>
+      k -> (if (n == 0) 0.0 else hits.toDouble / n)
+    }.toMap
+  }
 }

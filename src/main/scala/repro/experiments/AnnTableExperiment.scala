@@ -1,10 +1,10 @@
 package repro.experiments
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.{Distance, HnswParams}
-import repro.eval.Recall
-import repro.lanns.{Indexer, Querier, SparkBruteForce}
-import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
+import repro.lanns.{Indexer, LannsMeta}
+import repro.segment.{Segmenter, SegmenterLearner, SegmenterSpec}
+import repro.segment.SegmenterSpec.Rs
 
 /** The harness behind Tables 1–3 (SIFT1M) and Tables 4–6 (GIST1M): recall
   * of HNSW vs the (n, m)-partitioned RS / RH / APD indices, plus build-time
@@ -44,67 +44,26 @@ object AnnTableExperiment {
 
   val Methods: Seq[String] = Seq("RS", "RH", "APD")
 
-  private def log2(m: Int): Int = {
-    require(m >= 2 && (m & (m - 1)) == 0, s"segments per shard must be a power of two >= 2, got $m")
-    java.lang.Integer.numberOfTrailingZeros(m)
-  }
-
-  /** Build the segmenter for `method` with `m` segments per shard, learning
-    * RH/APD on `sample` (shared across shards, §5.1). Returns the segmenter
-    * and the learning wall-time (0 for RS, which needs no pre-learning).
-    */
-  def mkSegmenter(method: String, m: Int, alpha: Double, dim: Int,
-                  sample: Array[Array[Float]], seed: Long): (Segmenter, Long) = method match {
-    case "RS" => (new RandomSegmenter(m, seed), 0L)
-    case "RH" =>
-      val (s, t) = Fmt.timed(SegmenterLearner.learnRH(sample, dim, log2(m), alpha, seed))
-      (s, t)
-    case "APD" =>
-      val (s, t) = Fmt.timed(SegmenterLearner.learnAPD(sample, dim, log2(m), alpha, seed))
-      (s, t)
-    case other => throw new IllegalArgumentException(s"unknown method $other")
-  }
-
   /** Run the full experiment for one dataset. */
   def run(spark: SparkSession, cfg: Config): (Results, Seq[ExpTable]) = {
     val ds = cfg.dataset
-    val data = ds.data(spark).cache()
-    data.count() // materialize (and warm up the session)
-    val queries = ds.queries(spark).cache()
-    val nQueries = queries.count()
-
-    val truth = SparkBruteForce
-      .search(data, queries, cfg.topK, Distance.Euclidean, numPartitions = 16)
-      .cache()
-    truth.count()
-
+    val h = new Harness(spark, ds, cfg.topK)
     val maxE = cfg.executorSweep.max
     val work = s"${cfg.workDir}/${ds.name}"
 
-    def buildAt(tag: String, shards: Int, seg: Segmenter, e: Int) = {
-      val dir = s"$work/$tag"
-      Fmt.timed(Indexer.build(data, ds.dim, shards, seg, Distance.Euclidean, cfg.hnsw, dir, e))
-    }
+    def buildAt(tag: String, shards: Int, seg: Segmenter, e: Int) =
+      Fmt.timed(Indexer.build(h.data, ds.dim, shards, seg, Distance.Euclidean, cfg.hnsw,
+        s"$work/$tag", e))
 
-    def queryAt(meta: repro.lanns.LannsMeta, e: Int,
-                checkpoint: Option[String] = None): (DataFrame, Long) = {
-      val (df, ms) = Fmt.timed {
-        val d = Querier.search(queries, meta, cfg.topK, cfg.efSearch,
-          Some(cfg.confidence), e, checkpoint).cache()
-        d.count()
-        d
-      }
-      (df, ms)
-    }
+    def queryAt(meta: LannsMeta, e: Int, ks: Seq[Int] = Nil, checkpoint: Option[String] = None) =
+      h.query(meta, cfg.efSearch, Some(cfg.confidence), e, ks, checkpoint)
 
     // ---- HNSW baseline: one unpartitioned index, one slot ----------------
-    val (hnswMeta, hnswBuildMs) = buildAt("hnsw", 1, new RandomSegmenter(1), 1)
-    val (hnswRes, hnswQueryMs0) = queryAt(hnswMeta, 1)
-    val hnswRecall = Recall.atKs(hnswRes, truth, cfg.ks)
-    hnswRes.unpersist()
-    val hnswQueryMs = math.min(hnswQueryMs0, { val (d, t) = queryAt(hnswMeta, 1); d.unpersist(); t })
+    val (hnswMeta, hnswBuildMs) = buildAt("hnsw", 1, Rs(1).learn(Array.empty, ds.dim, 0L), 1)
+    val (hnswRecall, hnswQueryMs0) = queryAt(hnswMeta, 1, cfg.ks)
+    val hnswQueryMs = math.min(hnswQueryMs0, queryAt(hnswMeta, 1)._2)
 
-    val sample = SegmenterLearner.sample(data, cfg.sampleSize, ds.seed + 9)
+    val sample = SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9)
 
     var recall = Map.empty[(String, (Int, Int)), Map[Int, Double]]
     var learn = Map.empty[String, Long]
@@ -112,25 +71,21 @@ object AnnTableExperiment {
     var queryMs = Map.empty[(String, (Int, Int), Int), Double]
 
     for (method <- Methods; (s, m) <- cfg.partitionings) {
-      val (seg, learnT) = mkSegmenter(method, m, cfg.alpha, ds.dim, sample, ds.seed + 17)
+      val (seg, learnT) =
+        Fmt.timed(SegmenterSpec.parse(method, m, cfg.alpha).learn(sample, ds.dim, ds.seed + 17))
       learn += s"$method($s,$m)" -> learnT
 
       // Recall: build once at max executors, query at max executors,
       // exercising the checkpoint path of §5.3.1.
       val (meta, _) = buildAt(s"${method}_${s}x${m}_recall", s, seg, maxE)
-      val (res, _) = queryAt(meta, maxE, Some(s"$work/ckpt_${method}_${s}x$m"))
-      recall += (method, (s, m)) -> Recall.atKs(res, truth, cfg.ks)
-      res.unpersist()
+      val (rec, _) = queryAt(meta, maxE, cfg.ks, Some(s"$work/ckpt_${method}_${s}x$m"))
+      recall += (method, (s, m)) -> rec
 
       // Query-time sweep (Tables 3/6) over emulated executor counts; each
       // point is the min of two runs to damp JIT/GC noise at this scale.
       for (e <- cfg.executorSweep) {
-        val ms = Seq.fill(2) {
-          val (df, t) = queryAt(meta, e)
-          df.unpersist()
-          t
-        }.min
-        queryMs += (method, (s, m), e) -> ms.toDouble / nQueries
+        val ms = Seq.fill(2)(queryAt(meta, e)._2).min
+        queryMs += (method, (s, m), e) -> ms.toDouble / h.nQueries
       }
 
       // Build-time sweep (Tables 2/5): the paper reports one build-time
@@ -145,7 +100,7 @@ object AnnTableExperiment {
     }
 
     val results = Results(hnswRecall, recall, hnswBuildMs, buildMs,
-      hnswQueryMs.toDouble / nQueries, queryMs, learn)
+      hnswQueryMs.toDouble / h.nQueries, queryMs, learn)
     (results, render(ds.name, cfg, results))
   }
 

@@ -2,9 +2,9 @@ package repro.experiments
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{Distance, HnswParams}
-import repro.eval.Recall
-import repro.lanns.{Indexer, Querier, SparkBruteForce}
-import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
+import repro.lanns.{Indexer, Querier}
+import repro.segment.{SegmenterLearner, SegmenterSpec}
+import repro.segment.SegmenterSpec.{Apd, Rs}
 
 /** Tables 8 & 9: end-to-end build time, query time, and recall on the four
   * real-world stand-ins (PYMK, People, NearDupe, Groups), each with its
@@ -17,21 +17,14 @@ import repro.segment.{RandomSegmenter, Segmenter, SegmenterLearner}
 object RealWorldExperiment {
 
   /** One dataset's pipeline configuration. */
-  final case class UseCase(
-      dataset: DatasetSpec,
-      shards: Int,
-      segmenterKind: String, // "RS" | "APD" | "NONE"
-      segments: Int,
-      k: Int,
-      alpha: Double = 0.15,
-  )
+  final case class UseCase(dataset: DatasetSpec, shards: Int, spec: SegmenterSpec, k: Int)
 
   final case class Config(
       useCases: Seq[UseCase] = Seq(
-        UseCase(Datasets.pymkLite, shards = 4, segmenterKind = "RS", segments = 2, k = 100),
-        UseCase(Datasets.peopleLite, shards = 4, segmenterKind = "RS", segments = 2, k = 50),
-        UseCase(Datasets.nearDupeLite, shards = 1, segmenterKind = "NONE", segments = 1, k = 100),
-        UseCase(Datasets.groupsLite, shards = 1, segmenterKind = "APD", segments = 4, k = 100),
+        UseCase(Datasets.pymkLite, shards = 4, Rs(2), k = 100),
+        UseCase(Datasets.peopleLite, shards = 4, Rs(2), k = 50),
+        UseCase(Datasets.nearDupeLite, shards = 1, Rs(1), k = 100),
+        UseCase(Datasets.groupsLite, shards = 1, Apd(4, alpha = 0.15), k = 100),
       ),
       hnsw: HnswParams = HnswParams(m = 16, efConstruction = 120, efSearch = 150),
       efSearch: Int = 150,
@@ -46,52 +39,28 @@ object RealWorldExperiment {
                        buildMillis: Long, querySize: Long, queryMillis: Long,
                        k: Int, recallAtK: Double)
 
-  private def mkSegmenter(uc: UseCase, sample: Array[Array[Float]], dim: Int): Segmenter =
-    uc.segmenterKind match {
-      case "NONE" => new RandomSegmenter(1)
-      case "RS"   => new RandomSegmenter(uc.segments, uc.dataset.seed)
-      case "APD"  =>
-        val depth = java.lang.Integer.numberOfTrailingZeros(uc.segments)
-        SegmenterLearner.learnAPD(sample, dim, depth, uc.alpha, uc.dataset.seed + 17)
-      case other  => throw new IllegalArgumentException(s"unknown segmenter kind $other")
-    }
-
   def run(spark: SparkSession, cfg: Config): (Seq[Row], Seq[ExpTable]) = {
     // Warm up JIT/Spark before any timed pipeline, so the first use case
     // does not absorb the compilation cost the others skip.
     locally {
       val warm = Datasets.groupsLite.copy(name = "warmup", n = 2000, nQueries = 50)
-      val meta = Indexer.build(warm.data(spark), warm.dim, 2, new RandomSegmenter(2),
-        Distance.Euclidean, cfg.hnsw, s"${cfg.workDir}/real/warmup", cfg.numExecutors)
+      val seg = Rs(2).learn(Array.empty, warm.dim, 0L)
+      val meta = Indexer.build(warm.data(spark), warm.dim, 2, seg, Distance.Euclidean,
+        cfg.hnsw, s"${cfg.workDir}/real/warmup", cfg.numExecutors)
       Querier.search(warm.queries(spark), meta, 10, 50, Some(cfg.confidence),
         cfg.numExecutors).count()
     }
     val rows = cfg.useCases.map { uc =>
       val ds = uc.dataset
-      val data = ds.data(spark).cache(); val n = data.count()
-      val queries = ds.queries(spark).cache(); val nq = queries.count()
-      val truth = SparkBruteForce
-        .search(data, queries, uc.k, Distance.Euclidean, numPartitions = 16)
-        .cache()
-      truth.count()
-
-      val sample =
-        if (uc.segmenterKind == "APD") SegmenterLearner.sample(data, cfg.sampleSize, ds.seed + 9)
-        else Array.empty[Array[Float]]
-      val seg = mkSegmenter(uc, sample, ds.dim)
-
-      val (meta, buildMs) = Fmt.timed(Indexer.build(data, ds.dim, uc.shards, seg,
+      val h = new Harness(spark, ds, uc.k)
+      val seg = uc.spec.learn(SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9),
+        ds.dim, ds.seed + 17)
+      val (meta, buildMs) = Fmt.timed(Indexer.build(h.data, ds.dim, uc.shards, seg,
         Distance.Euclidean, cfg.hnsw, s"${cfg.workDir}/real/${ds.name}", cfg.numExecutors))
-      val (res, queryMs) = Fmt.timed {
-        val d = Querier.search(queries, meta, uc.k, cfg.efSearch,
-          Some(cfg.confidence), cfg.numExecutors,
-          Some(s"${cfg.workDir}/real/${ds.name}-ckpt")).cache()
-        d.count()
-        d
-      }
-      val rec = Recall.atK(res, truth, uc.k)
-      res.unpersist(); truth.unpersist(); data.unpersist(); queries.unpersist()
-      Row(ds.name, uc.shards, ds.dim, n, buildMs, nq, queryMs, uc.k, rec)
+      val (rec, queryMs) = h.query(meta, cfg.efSearch, Some(cfg.confidence), cfg.numExecutors,
+        Seq(uc.k), Some(s"${cfg.workDir}/real/${ds.name}-ckpt"))
+      h.unpersist()
+      Row(ds.name, uc.shards, ds.dim, h.size, buildMs, h.nQueries, queryMs, uc.k, rec(uc.k))
     }
 
     val timesT = ExpTable(

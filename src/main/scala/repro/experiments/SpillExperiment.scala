@@ -2,9 +2,9 @@ package repro.experiments
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{Distance, HnswParams}
-import repro.eval.Recall
-import repro.lanns.{Indexer, Querier, SparkBruteForce}
-import repro.segment.{RandomSegmenter, SegmenterLearner}
+import repro.lanns.Indexer
+import repro.segment.{Segmenter, SegmenterLearner}
+import repro.segment.SegmenterSpec.{Apd, Rs}
 
 /** Table 7: physical vs virtual spill on the Groups dataset — R@15 and QPS
   * for a multi-segmented APD index over segments ∈ {1, 4, 8, 16} and spill
@@ -35,48 +35,30 @@ object SpillExperiment {
 
   def run(spark: SparkSession, cfg: Config): (Seq[Row], ExpTable) = {
     val ds = cfg.dataset
-    val data = ds.data(spark).cache(); data.count()
-    val queries = ds.queries(spark).cache()
-    val nQueries = queries.count()
-    val truth = SparkBruteForce
-      .search(data, queries, cfg.k, Distance.Euclidean, numPartitions = 16)
-      .cache()
-    truth.count()
-
-    val sample = SegmenterLearner.sample(data, cfg.sampleSize, ds.seed + 9)
+    val h = new Harness(spark, ds, cfg.k)
+    val sample = SegmenterLearner.sample(h.data, cfg.sampleSize, ds.seed + 9)
     val work = s"${cfg.workDir}/${ds.name}-spill"
 
-    def measure(tag: String, seg: repro.segment.Segmenter): (Double, Double) = {
-      val meta = Indexer.build(data, ds.dim, numShards = 1, seg, Distance.Euclidean,
+    def measure(tag: String, seg: Segmenter): (Double, Double) = {
+      val meta = Indexer.build(h.data, ds.dim, numShards = 1, seg, Distance.Euclidean,
         cfg.hnsw, s"$work/$tag", cfg.numExecutors)
-      def once(): (Double, Long) = {
-        val (res, ms) = Fmt.timed {
-          val d = Querier.search(queries, meta, cfg.k, cfg.efSearch,
-            confidence = None, numExecutors = cfg.numExecutors).cache()
-          d.count()
-          d
-        }
-        val rec = Recall.atK(res, truth, cfg.k)
-        res.unpersist()
-        (rec, ms)
-      }
+      def once() = h.query(meta, cfg.efSearch, confidence = None, cfg.numExecutors, Seq(cfg.k))
       // QPS is the max of two runs (min wall time) to damp JIT/GC noise.
       val (rec, ms1) = once()
       val (_, ms2) = once()
-      (rec, nQueries.toDouble / (math.min(ms1, ms2) / 1000.0))
+      (rec(cfg.k), h.nQueries.toDouble / (math.min(ms1, ms2) / 1000.0))
     }
 
     val rows = cfg.segmentCounts.flatMap {
       case 1 =>
         // Unsegmented baseline row (segments = 1, spill 0%): one HNSW index;
         // physical and virtual spill coincide by construction.
-        val (rec, qps) = measure("seg1", new RandomSegmenter(1))
+        val (rec, qps) = measure("seg1", Rs(1).learn(sample, ds.dim, ds.seed + 17))
         Seq(Row(1, 0, rec, qps, rec, qps))
       case m =>
-        val depth = java.lang.Integer.numberOfTrailingZeros(m)
         cfg.spillPercents.map { pct =>
           val alpha = pct / 200.0 // spill% = 2α·100
-          val virt = SegmenterLearner.learnAPD(sample, ds.dim, depth, alpha, ds.seed + 17)
+          val virt = Apd(m, alpha).learn(sample, ds.dim, ds.seed + 17)
           val phys = virt.withPhysicalSpill(true)
           val (pr, pq) = measure(s"seg${m}_s${pct}_phys", phys)
           val (vr, vq) = measure(s"seg${m}_s${pct}_virt", virt)

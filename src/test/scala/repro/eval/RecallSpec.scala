@@ -58,6 +58,11 @@ class RecallSpec extends SparkSpec {
     val m = Recall.atKs(r, t, Seq(1, 2))
     assert(m(1) === 1.0)
     assert(m(2) === 0.5)
+    // A match whose two ranks straddle the cutoff counts only once k covers both.
+    val swapped = df((1L, 11L, 1), (1L, 10L, 2))
+    val s = Recall.atKs(swapped, t, Seq(1, 2))
+    assert(s(1) === 0.0)
+    assert(s(2) === 1.0)
   }
 
   test("matches the DuckDB oracle on a random instance") {
