@@ -1,7 +1,9 @@
 package repro.core
 
-import java.io.{DataInputStream, DataOutputStream, ByteArrayInputStream, ByteArrayOutputStream}
-import scala.collection.mutable.ArrayBuffer
+import java.io.{DataInputStream, DataOutputStream}
+import java.nio.ByteBuffer
+import java.nio.charset.StandardCharsets.US_ASCII
+import java.util.Arrays
 
 /** Tunable parameters of an HNSW index (Malkov & Yashunin 2016, §3 of the
   * LANNS paper).
@@ -32,20 +34,35 @@ final case class HnswParams(
   * than to every already-selected neighbor, which preserves graph
   * navigability in clustered data).
   *
-  * Not thread-safe for writes; the LANNS indexer builds each index inside a
-  * single Spark task. Searches after build are read-only and may be shared.
+  * Storage is flat, as in hnswlib (the HNSW authors' library): node `u`'s
+  * vector is `vecs(u·dim until (u+1)·dim)`; its layer-0 list is a count and
+  * up to 2·m ids at `links0(u·(2m+1))`; layers 1..level live in one array
+  * per node with stride m+1, absent for level-0 nodes. Cosine indexes keep
+  * each node's norm, so a distance is one dot product.
+  *
+  * Not thread-safe: inserts mutate the graph and every search reuses the
+  * index's visited marks and beam heaps. The LANNS indexer builds each index
+  * inside a single Spark task, and each query task loads its own copy.
   */
 final class HnswIndex private (
     val dim: Int,
     val distance: Distance,
     val params: HnswParams,
 ) extends Serializable {
+  require(dim >= 1, s"index dim must be >= 1, got $dim")
+  require(params.m >= 1, s"HNSW m must be >= 1, got ${params.m}")
 
-  private val ids    = new ArrayBuffer[Long]
-  private val vecs   = new ArrayBuffer[Array[Float]]
-  private val levels = new ArrayBuffer[Int]
-  // links(node)(layer) = internal ids of neighbors at that layer, 0..level(node)
-  private val links  = new ArrayBuffer[Array[ArrayBuffer[Int]]]
+  private val cosine  = distance == Distance.Cosine
+  private val stride0 = 2 * params.m + 1
+  private val strideU = params.m + 1
+
+  private var n      = 0
+  private var ids    = new Array[Long](0)
+  private var levels = new Array[Int](0)
+  private var vecs   = new Array[Float](0)
+  private var norms  = new Array[Double](0) // cosine only
+  private var links0 = new Array[Int](0)
+  private var upper  = new Array[Array[Int]](0)
 
   private var entry: Int    = -1
   private var topLevel: Int = -1
@@ -53,18 +70,27 @@ final class HnswIndex private (
   private val rng = new java.util.Random(params.seed)
   private val mL  = 1.0 / math.log(math.max(2, params.m).toDouble)
 
-  // Visited marking by stamp — O(1) clear between beam searches.
-  private var visited      = new Array[Int](1024)
-  private var visitStamp   = 0
+  // Search scratch, reused across calls: visited marking by stamp (O(1)
+  // clear), the two beam heaps, the sorted beam output and the
+  // select-neighbors / shrink buffers.
+  private var visited    = new Array[Int](0)
+  private var visitStamp = 0
+  private val cand       = new BeamHeap(maxFirst = false)
+  private val res        = new BeamHeap(maxFirst = true)
+  private var beamIds    = new Array[Int](16)
+  private var beamDists  = new Array[Double](16)
+  private var pruned     = new Array[Int](16)
+  private val shrinkIds  = new Array[Int](stride0)
+  private val shrinkDist = new Array[Double](stride0)
 
   /** Number of indexed vectors. */
-  def size: Int = ids.length
+  def size: Int = n
 
   /** External id of internal node `i` (test/introspection hook). */
-  def idOf(i: Int): Long = ids(i)
+  def idOf(i: Int): Long = { require(i >= 0 && i < n, s"node $i outside [0, $n)"); ids(i) }
 
   /** Level of internal node `i` (test/introspection hook). */
-  def levelOf(i: Int): Int = levels(i)
+  def levelOf(i: Int): Int = { require(i >= 0 && i < n, s"node $i outside [0, $n)"); levels(i) }
 
   /** Current top layer of the hierarchy, −1 when empty. */
   def maxLevel: Int = topLevel
@@ -74,12 +100,11 @@ final class HnswIndex private (
     */
   def maxObservedDegree: Int = {
     var mx = 0
-    var i = 0
-    while (i < links.length) {
-      val ls = links(i)
+    var u = 0
+    while (u < n) {
       var l = 0
-      while (l < ls.length) { if (ls(l).length > mx) mx = ls(l).length; l += 1 }
-      i += 1
+      while (l <= levels(u)) { mx = math.max(mx, linkArr(u, l)(linkBase(u, l))); l += 1 }
+      u += 1
     }
     mx
   }
@@ -87,69 +112,89 @@ final class HnswIndex private (
   /** Number of nodes whose assigned level is ≥ `l` (level-distribution
     * test hook).
     */
-  def countAtLevel(l: Int): Int = levels.count(_ >= l)
-
-  private def dist(q: Array[Float], node: Int): Double = distance(q, vecs(node))
-
-  private def newStamp(): Unit = {
-    visitStamp += 1
-    if (visited.length < ids.length) {
-      val grown = new Array[Int](math.max(ids.length, visited.length * 2))
-      System.arraycopy(visited, 0, grown, 0, visited.length)
-      visited = grown
-    }
-  }
+  def countAtLevel(l: Int): Int = (0 until n).count(levels(_) >= l)
 
   private def maxDegree(layer: Int): Int = if (layer == 0) 2 * params.m else params.m
 
+  private def linkArr(u: Int, layer: Int): Array[Int] = if (layer == 0) links0 else upper(u)
+  private def linkBase(u: Int, layer: Int): Int =
+    if (layer == 0) u * stride0 else (layer - 1) * strideU
+
+  /** Norm used by cosine distances to `q(qo until qo+dim)`; unused for L2. */
+  private def normOf(q: Array[Float], qo: Int): Double =
+    if (cosine) math.sqrt(Vectors.dot(q, qo, q, qo, dim)) else 0.0
+
+  /** Distance from `q(qo until qo+dim)`, whose norm is `qn`, to node `u`. */
+  private def dist(q: Array[Float], qo: Int, qn: Double, u: Int): Double =
+    if (cosine) Vectors.cosineOf(Vectors.dot(q, qo, vecs, u * dim, dim), qn, norms(u))
+    else Vectors.l2sq(q, qo, vecs, u * dim, dim)
+
+  private def nodeDist(a: Int, b: Int): Double =
+    dist(vecs, a * dim, if (cosine) norms(a) else 0.0, b)
+
+  private def reserve(capacity: Int): Unit = if (capacity > ids.length) {
+    require(capacity.toLong * math.max(dim, stride0) <= Int.MaxValue, s"index too large: $capacity nodes")
+    ids = Arrays.copyOf(ids, capacity)
+    levels = Arrays.copyOf(levels, capacity)
+    vecs = Arrays.copyOf(vecs, capacity * dim)
+    if (cosine) norms = Arrays.copyOf(norms, capacity)
+    links0 = Arrays.copyOf(links0, capacity * stride0)
+    upper = Arrays.copyOf(upper, capacity)
+  }
+
+  private def newStamp(): Unit = {
+    if (visited.length < n) visited = new Array[Int](ids.length)
+    else if (visitStamp == Int.MaxValue) { Arrays.fill(visited, 0); visitStamp = 0 }
+    visitStamp += 1
+  }
+
   /** Greedy descent: closest node to `q` on `layer` starting from `ep`. */
-  private def greedyClosest(q: Array[Float], ep: Int, layer: Int): Int = {
+  private def greedyClosest(q: Array[Float], qo: Int, qn: Double, ep: Int, layer: Int): Int = {
     var cur  = ep
-    var curD = dist(q, cur)
+    var curD = dist(q, qo, qn, cur)
     var improved = true
     while (improved) {
       improved = false
-      val nbrs = links(cur)(layer)
-      var i = 0
-      while (i < nbrs.length) {
-        val n = nbrs(i)
-        val d = dist(q, n)
-        if (d < curD) { cur = n; curD = d; improved = true }
+      val arr  = linkArr(cur, layer)
+      val base = linkBase(cur, layer)
+      var i = 1
+      while (i <= arr(base)) {
+        val nb = arr(base + i)
+        val d = dist(q, qo, qn, nb)
+        if (d < curD) { cur = nb; curD = d; improved = true }
         i += 1
       }
     }
     cur
   }
 
-  /** Beam search of width `ef` on `layer`; returns candidates sorted by
-    * ascending distance (at most `ef`).
+  /** Beam search of width `ef` on `layer`: fills `beamIds`/`beamDists`
+    * with at most `ef` candidates by ascending distance and returns their
+    * count.
     */
-  private def searchLayer(q: Array[Float], ep: Int, ef: Int, layer: Int): ArrayBuffer[(Int, Double)] = {
+  private def searchLayer(q: Array[Float], qo: Int, qn: Double, ep: Int, ef: Int, layer: Int): Int = {
     newStamp()
-    // candidates: min-heap by distance; result: max-heap by distance
-    val cand = new java.util.PriorityQueue[(Int, Double)](
-      (a: (Int, Double), b: (Int, Double)) => java.lang.Double.compare(a._2, b._2))
-    val res = new java.util.PriorityQueue[(Int, Double)](
-      (a: (Int, Double), b: (Int, Double)) => java.lang.Double.compare(b._2, a._2))
+    cand.clear(); res.clear()
+    val d0 = dist(q, qo, qn, ep)
+    cand.add(ep, d0); res.add(ep, d0); visited(ep) = visitStamp
 
-    val d0 = dist(q, ep)
-    cand.add((ep, d0)); res.add((ep, d0)); visited(ep) = visitStamp
-
-    while (!cand.isEmpty) {
-      val (c, cd) = cand.poll()
-      if (cd > res.peek()._2 && res.size >= ef) {
+    while (cand.size > 0) {
+      val c = cand.topNode; val cd = cand.topDist
+      cand.poll()
+      if (cd > res.topDist && res.size >= ef) {
         cand.clear() // no candidate can improve the result set
       } else {
-        val nbrs = links(c)(layer)
-        var i = 0
-        while (i < nbrs.length) {
-          val n = nbrs(i)
-          if (visited(n) != visitStamp) {
-            visited(n) = visitStamp
-            val d = dist(q, n)
-            if (res.size < ef || d < res.peek()._2) {
-              cand.add((n, d))
-              res.add((n, d))
+        val arr  = linkArr(c, layer)
+        val base = linkBase(c, layer)
+        var i = 1
+        while (i <= arr(base)) {
+          val nb = arr(base + i)
+          if (visited(nb) != visitStamp) {
+            visited(nb) = visitStamp
+            val d = dist(q, qo, qn, nb)
+            if (res.size < ef || d < res.topDist) {
+              cand.add(nb, d)
+              res.add(nb, d)
               if (res.size > ef) res.poll()
             }
           }
@@ -157,48 +202,70 @@ final class HnswIndex private (
         }
       }
     }
-    val out = new ArrayBuffer[(Int, Double)](res.size)
-    while (!res.isEmpty) out += res.poll()
-    // res drains largest-first; reverse to ascending
-    var lo = 0; var hi = out.length - 1
-    while (lo < hi) { val t = out(lo); out(lo) = out(hi); out(hi) = t; lo += 1; hi -= 1 }
-    out
+    val count = res.size
+    if (beamIds.length < count) {
+      beamIds = new Array[Int](count * 2); beamDists = new Array[Double](count * 2)
+    }
+    // res drains largest-first; fill from the back to get ascending order
+    var i = count - 1
+    while (i >= 0) { beamIds(i) = res.topNode; beamDists(i) = res.topDist; res.poll(); i -= 1 }
+    count
   }
 
-  /** Select-neighbors heuristic (HNSW Algorithm 4) over `cands` sorted by
-    * ascending distance to the base point: keep a candidate only if it is
-    * closer to the base than to any already-kept neighbor; backfill with the
-    * nearest pruned candidates if fewer than `m` survive.
+  /** Select-neighbors heuristic (HNSW Algorithm 4) over the first `count`
+    * candidates, sorted by ascending distance to the base point: keep a
+    * candidate only if it is closer to the base than to any already-kept
+    * neighbor; backfill with the nearest pruned candidates if fewer than `m`
+    * survive. Writes the list (count, then ids) to `out(at)`.
     */
-  private def selectHeuristic(cands: ArrayBuffer[(Int, Double)], m: Int): ArrayBuffer[Int] = {
-    val kept   = new ArrayBuffer[Int]
-    val pruned = new ArrayBuffer[Int]
+  private def selectHeuristic(candIds: Array[Int], candDists: Array[Double], count: Int, m: Int,
+                              out: Array[Int], at: Int): Unit = {
+    if (pruned.length < count) pruned = new Array[Int](count * 2)
+    var kept = 0
+    var nPruned = 0
     var i = 0
-    while (i < cands.length && kept.length < m) {
-      val (c, dc) = cands(i)
+    while (i < count && kept < m) {
+      val c = candIds(i)
       var good = true
       var j = 0
-      while (good && j < kept.length) {
-        if (distance(vecs(c), vecs(kept(j))) < dc) good = false
+      while (good && j < kept) {
+        if (nodeDist(c, out(at + 1 + j)) < candDists(i)) good = false
         j += 1
       }
-      if (good) kept += c else pruned += c
+      if (good) { out(at + 1 + kept) = c; kept += 1 }
+      else { pruned(nPruned) = c; nPruned += 1 }
       i += 1
     }
     var p = 0
-    while (kept.length < m && p < pruned.length) { kept += pruned(p); p += 1 }
-    kept
+    while (kept < m && p < nPruned) { out(at + 1 + kept) = pruned(p); kept += 1; p += 1 }
+    out(at) = kept
   }
 
-  /** Re-prune an overfull adjacency list back to the layer's degree cap. */
-  private def shrink(node: Int, layer: Int): Unit = {
-    val cap  = maxDegree(layer)
-    val nbrs = links(node)(layer)
-    if (nbrs.length > cap) {
-      val scored = nbrs.map(n => (n, distance(vecs(node), vecs(n)))).sortBy(_._2)
-      val kept   = selectHeuristic(scored, cap)
-      nbrs.clear()
-      nbrs ++= kept
+  /** Add the link u → v on `layer`. A full list is re-pruned back to the
+    * layer's degree cap: [existing…, v] scored by distance from `u`, stably
+    * sorted, then the select-neighbors heuristic.
+    */
+  private def link(u: Int, v: Int, layer: Int): Unit = {
+    val arr   = linkArr(u, layer)
+    val base  = linkBase(u, layer)
+    val count = arr(base)
+    if (count < maxDegree(layer)) {
+      arr(base + 1 + count) = v
+      arr(base) = count + 1
+    } else {
+      var i = 0
+      while (i <= count) {
+        val w = if (i < count) arr(base + 1 + i) else v
+        val d = nodeDist(u, w)
+        // stable insertion sort by distance
+        var j = i
+        while (j > 0 && java.lang.Double.compare(shrinkDist(j - 1), d) > 0) {
+          shrinkIds(j) = shrinkIds(j - 1); shrinkDist(j) = shrinkDist(j - 1); j -= 1
+        }
+        shrinkIds(j) = w; shrinkDist(j) = d
+        i += 1
+      }
+      selectHeuristic(shrinkIds, shrinkDist, count + 1, maxDegree(layer), arr, base)
     }
   }
 
@@ -208,29 +275,32 @@ final class HnswIndex private (
   def add(id: Long, v: Array[Float]): Unit = {
     require(v.length == dim, s"vector dim ${v.length} != index dim $dim")
     val level = math.floor(-math.log(rng.nextDouble() + 1e-300) * mL).toInt
-    val node  = ids.length
-    ids += id; vecs += v; levels += level
-    links += Array.fill(level + 1)(new ArrayBuffer[Int](maxDegree(0)))
+    val node  = n
+    if (node == ids.length) reserve(math.max(16, node * 2))
+    ids(node) = id
+    levels(node) = level
+    System.arraycopy(v, 0, vecs, node * dim, dim)
+    val vn = normOf(v, 0)
+    if (cosine) norms(node) = vn
+    links0(node * stride0) = 0
+    upper(node) = if (level > 0) new Array[Int](level * strideU) else null
+    n += 1
 
     if (entry < 0) { entry = node; topLevel = level; return }
 
     var ep = entry
     var l  = topLevel
-    while (l > level) { ep = greedyClosest(v, ep, l); l -= 1 }
+    while (l > level) { ep = greedyClosest(v, 0, vn, ep, l); l -= 1 }
 
     l = math.min(level, topLevel)
     while (l >= 0) {
-      val cands     = searchLayer(v, ep, params.efConstruction, l)
-      val neighbors = selectHeuristic(cands, maxDegree(l))
-      var i = 0
-      while (i < neighbors.length) {
-        val n = neighbors(i)
-        links(node)(l) += n
-        links(n)(l) += node
-        shrink(n, l)
-        i += 1
-      }
-      ep = cands.head._1
+      val count = searchLayer(v, 0, vn, ep, params.efConstruction, l)
+      ep = beamIds(0)
+      val arr  = linkArr(node, l)
+      val base = linkBase(node, l)
+      selectHeuristic(beamIds, beamDists, count, maxDegree(l), arr, base)
+      var i = 1
+      while (i <= arr(base)) { link(arr(base + i), node, l); i += 1 }
       l -= 1
     }
 
@@ -245,58 +315,76 @@ final class HnswIndex private (
     if (size == 0) return Array.empty
     require(q.length == dim, s"query dim ${q.length} != index dim $dim")
     val beam = math.max(if (ef > 0) ef else params.efSearch, k)
+    val qn = normOf(q, 0)
     var ep = entry
     var l  = topLevel
-    while (l > 0) { ep = greedyClosest(q, ep, l); l -= 1 }
-    val cands = searchLayer(q, ep, beam, 0)
-    cands
-      .map { case (n, d) => Neighbor(ids(n), d) }
-      .sortBy(n => (n.dist, n.id))
-      .take(k)
-      .toArray
+    while (l > 0) { ep = greedyClosest(q, 0, qn, ep, l); l -= 1 }
+    val count = searchLayer(q, 0, qn, ep, beam, 0)
+    val out = Array.tabulate(count)(i => Neighbor(ids(beamIds(i)), beamDists(i)))
+    Arrays.sort(out, HnswIndex.ByDistThenId)
+    if (k < count) Arrays.copyOf(out, math.max(k, 0)) else out
   }
 
   /** Serialize to a binary stream (index + vectors + metadata), the unit the
     * LANNS indexer persists per (shard, segment).
     */
-  def writeTo(out: DataOutputStream): Unit = {
-    out.writeInt(HnswIndex.Magic)
-    out.writeInt(dim)
-    out.writeUTF(distance.name)
-    out.writeInt(params.m); out.writeInt(params.efConstruction)
-    out.writeInt(params.efSearch); out.writeLong(params.seed)
-    out.writeInt(size); out.writeInt(entry); out.writeInt(topLevel)
-    var i = 0
-    while (i < size) {
-      out.writeLong(ids(i))
-      out.writeInt(levels(i))
-      val v = vecs(i)
-      var j = 0
-      while (j < dim) { out.writeFloat(v(j)); j += 1 }
-      val ls = links(i)
+  def writeTo(out: DataOutputStream): Unit = out.write(toBytes)
+
+  /** Serialize to a byte array in the layout [[HnswIndex.fromBytes]] reads:
+    * big-endian, as `DataOutputStream` writes it — magic, dim, the distance
+    * name (`writeUTF`), m, efConstruction, efSearch, seed, n, entry, top
+    * level; then per node its id, level, `dim` floats and, for each layer
+    * 0..level, a neighbour count followed by that many internal ids.
+    */
+  def toBytes: Array[Byte] = {
+    val name = distance.name.getBytes(US_ASCII)
+    val head = HnswIndex.HeaderBytes + name.length
+    var bodyInts = 0L
+    var u = 0
+    while (u < n) {
+      bodyInts += 3 + dim
       var l = 0
-      while (l < ls.length) {
-        val nbrs = ls(l)
-        out.writeInt(nbrs.length)
-        var t = 0
-        while (t < nbrs.length) { out.writeInt(nbrs(t)); t += 1 }
+      while (l <= levels(u)) { bodyInts += 1 + linkArr(u, l)(linkBase(u, l)); l += 1 }
+      u += 1
+    }
+    require(head + 4 * bodyInts <= Int.MaxValue, s"index too large to serialize: $n nodes")
+    val bb = ByteBuffer.allocate(head + 4 * bodyInts.toInt)
+    bb.putInt(HnswIndex.Magic).putInt(dim).putShort(name.length.toShort).put(name)
+    bb.putInt(params.m).putInt(params.efConstruction).putInt(params.efSearch).putLong(params.seed)
+    bb.putInt(n).putInt(entry).putInt(topLevel)
+    // Every body field is a multiple of 4 bytes: address it in ints from `head`.
+    val ib = bb.asIntBuffer()
+    val fb = bb.asFloatBuffer()
+    var k = 0
+    u = 0
+    while (u < n) {
+      bb.putLong(head + 4 * k, ids(u)); k += 2
+      ib.put(k, levels(u)); k += 1
+      fb.put(k, vecs, u * dim, dim); k += dim
+      var l = 0
+      while (l <= levels(u)) {
+        val arr = linkArr(u, l); val base = linkBase(u, l)
+        ib.put(k, arr, base, arr(base) + 1); k += arr(base) + 1
         l += 1
       }
-      i += 1
+      u += 1
     }
-  }
-
-  /** Serialize to a byte array (convenience over [[writeTo]]). */
-  def toBytes: Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val dos = new DataOutputStream(bos)
-    writeTo(dos); dos.flush()
-    bos.toByteArray
+    bb.array()
   }
 }
 
 object HnswIndex {
   private val Magic = 0x4C414E53 // "LANS"
+
+  /** Header bytes besides the distance name: magic, dim, the name's length,
+    * m, efConstruction, efSearch, seed, n, entry, top level.
+    */
+  private val HeaderBytes = 4 + 4 + 2 + 4 + 4 + 4 + 8 + 4 + 4 + 4
+
+  private val ByDistThenId: java.util.Comparator[Neighbor] = (a: Neighbor, b: Neighbor) => {
+    val c = java.lang.Double.compare(a.dist, b.dist)
+    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+  }
 
   /** Create an empty index. */
   def empty(dim: Int, distance: Distance, params: HnswParams): HnswIndex =
@@ -310,38 +398,147 @@ object HnswIndex {
     idx
   }
 
-  /** Deserialize an index previously written with [[HnswIndex.writeTo]]. */
-  def readFrom(in: DataInputStream): HnswIndex = {
-    val magic = in.readInt()
+  /** Deserialize an index previously written with [[HnswIndex.writeTo]],
+    * reading the rest of the stream.
+    */
+  def readFrom(in: DataInputStream): HnswIndex = fromBytes(in.readAllBytes())
+
+  /** Deserialize an index written by [[HnswIndex.toBytes]]. Arrays are
+    * sized to exactly the stored node count. A truncated or inconsistent
+    * file (bad magic or distance, negative level, a neighbour list over its
+    * layer's cap, a neighbour or entry point outside the index) is rejected
+    * with an `IllegalArgumentException`.
+    */
+  def fromBytes(bytes: Array[Byte]): HnswIndex = {
+    val bb = ByteBuffer.wrap(bytes)
+    def need(b: Int, what: String): Unit =
+      require(bb.remaining >= b, s"truncated index file: ${bytes.length} bytes end inside the $what")
+    need(10, "header")
+    val magic = bb.getInt()
     require(magic == Magic, f"bad index file magic 0x$magic%08x")
-    val dim  = in.readInt()
-    val dist = Distance.of(in.readUTF())
-    val params = HnswParams(in.readInt(), in.readInt(), in.readInt(), in.readLong())
-    val n = in.readInt(); val entry = in.readInt(); val top = in.readInt()
+    val dim = bb.getInt()
+    val nameLen = bb.getShort() & 0xFFFF
+    need(nameLen + HeaderBytes - 10, "header")
+    val dist = Distance.of(new String(bytes, bb.position(), nameLen, US_ASCII))
+    bb.position(bb.position() + nameLen)
+    val params = HnswParams(bb.getInt(), bb.getInt(), bb.getInt(), bb.getLong())
+    val n = bb.getInt(); val entry = bb.getInt(); val top = bb.getInt()
     val idx = new HnswIndex(dim, dist, params)
-    idx.entry = entry; idx.topLevel = top
-    var i = 0
-    while (i < n) {
-      val id    = in.readLong()
-      val level = in.readInt()
-      val v     = new Array[Float](dim)
-      var j = 0
-      while (j < dim) { v(j) = in.readFloat(); j += 1 }
-      val ls = Array.fill(level + 1)(new ArrayBuffer[Int])
+    require(n >= 0, s"negative node count $n")
+    require(n.toLong * (4 + dim) <= bb.remaining / 4, s"truncated index file: $n nodes of dim $dim need more than ${bytes.length} bytes")
+    if (n == 0) require(entry == -1 && top == -1, s"empty index with entry point $entry at level $top")
+    else require(entry >= 0 && entry < n, s"entry point $entry outside [0, $n)")
+
+    idx.reserve(n)
+    val head = bb.position()
+    val bodyInts = (bytes.length - head) / 4
+    val ib = bb.asIntBuffer()
+    val fb = bb.asFloatBuffer()
+    var k = 0
+    def needInts(c: Long, what: String): Unit =
+      require(k + c <= bodyInts, s"truncated index file: ${bytes.length} bytes end inside $what")
+    var u = 0
+    while (u < n) {
+      needInts(3 + dim, s"node $u")
+      idx.ids(u) = bb.getLong(head + 4 * k); k += 2
+      val level = ib.get(k); k += 1
+      require(level >= 0, s"node $u has negative level $level")
+      needInts(dim + level + 1L, s"node $u")
+      idx.levels(u) = level
+      fb.get(k, idx.vecs, u * dim, dim); k += dim
+      if (idx.cosine) idx.norms(u) = idx.normOf(idx.vecs, u * dim)
+      if (level > 0) idx.upper(u) = new Array[Int](level * idx.strideU)
       var l = 0
       while (l <= level) {
-        val cnt = in.readInt()
-        var t = 0
-        while (t < cnt) { ls(l) += in.readInt(); t += 1 }
+        val count = ib.get(k)
+        val cap = idx.maxDegree(l)
+        require(count >= 0 && count <= cap, s"node $u has $count neighbours on layer $l, cap $cap")
+        needInts(count + 1L, s"node $u layer $l")
+        val arr = idx.linkArr(u, l); val base = idx.linkBase(u, l)
+        ib.get(k, arr, base, count + 1); k += count + 1
+        var t = 1
+        while (t <= count) {
+          val v = arr(base + t)
+          require(v >= 0 && v < n, s"node $u links to $v on layer $l, outside [0, $n)")
+          t += 1
+        }
         l += 1
       }
-      idx.ids += id; idx.vecs += v; idx.levels += level; idx.links += ls
-      i += 1
+      u += 1
     }
+    idx.n = n
+    // Upper-layer neighbours must exist on that layer, and the entry point
+    // must sit on the top layer, or a descent would step off the graph.
+    u = 0
+    while (u < n) {
+      var l = 1
+      while (l <= idx.levels(u)) {
+        val arr = idx.upper(u); val base = idx.linkBase(u, l)
+        var t = 1
+        while (t <= arr(base)) {
+          val v = arr(base + t)
+          require(idx.levels(v) >= l, s"node $u links to $v on layer $l above its level ${idx.levels(v)}")
+          t += 1
+        }
+        l += 1
+      }
+      u += 1
+    }
+    if (n > 0) require(idx.levels(entry) == top, s"entry point $entry has level ${idx.levels(entry)}, top level is $top")
+    idx.entry = entry; idx.topLevel = top
     idx
   }
+}
 
-  /** Deserialize from a byte array. */
-  def fromBytes(bytes: Array[Byte]): HnswIndex =
-    readFrom(new DataInputStream(new ByteArrayInputStream(bytes)))
+/** A binary heap of (node, distance) pairs over primitive arrays, ordered by
+  * `java.lang.Double.compare` on the distance (largest first when
+  * `maxFirst`). Its sift steps are `java.util.PriorityQueue`'s, so equal
+  * distances leave in the same order they would from that queue.
+  */
+private[core] final class BeamHeap(maxFirst: Boolean) extends Serializable {
+  private var nodes = new Array[Int](16)
+  private var dists = new Array[Double](16)
+  var size = 0
+
+  def topNode: Int    = nodes(0)
+  def topDist: Double = dists(0)
+  def clear(): Unit   = size = 0
+
+  private def cmp(a: Double, b: Double): Int =
+    if (maxFirst) java.lang.Double.compare(b, a) else java.lang.Double.compare(a, b)
+
+  def add(node: Int, d: Double): Unit = {
+    if (size == nodes.length) {
+      nodes = Arrays.copyOf(nodes, size * 2); dists = Arrays.copyOf(dists, size * 2)
+    }
+    var k = size
+    var moving = true
+    while (moving && k > 0) {
+      val parent = (k - 1) >>> 1
+      if (cmp(d, dists(parent)) >= 0) moving = false
+      else { nodes(k) = nodes(parent); dists(k) = dists(parent); k = parent }
+    }
+    nodes(k) = node; dists(k) = d
+    size += 1
+  }
+
+  /** Remove the top pair (the heap must be non-empty). */
+  def poll(): Unit = {
+    size -= 1
+    val n = size
+    if (n > 0) {
+      val xn = nodes(n); val xd = dists(n)
+      val half = n >>> 1
+      var k = 0
+      var moving = true
+      while (moving && k < half) {
+        var child = (k << 1) + 1
+        val right = child + 1
+        if (right < n && cmp(dists(child), dists(right)) > 0) child = right
+        if (cmp(xd, dists(child)) <= 0) moving = false
+        else { nodes(k) = nodes(child); dists(k) = dists(child); k = child }
+      }
+      nodes(k) = xn; dists(k) = xd
+    }
+  }
 }

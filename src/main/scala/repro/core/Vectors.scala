@@ -11,10 +11,17 @@ object Vectors {
   /** Squared Euclidean distance — monotone in L2, used for all ordering. */
   def l2sq(a: Array[Float], b: Array[Float]): Double = {
     require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
+    l2sq(a, 0, b, 0, a.length)
+  }
+
+  /** Squared Euclidean distance of `a(ao until ao+n)` and `b(bo until bo+n)`
+    * (the unchecked kernel behind [[l2sq]] and flat-array indexes).
+    */
+  def l2sq(a: Array[Float], ao: Int, b: Array[Float], bo: Int, n: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < a.length) {
-      val d = a(i).toDouble - b(i).toDouble
+    while (i < n) {
+      val d = a(ao + i).toDouble - b(bo + i).toDouble
       s += d * d
       i += 1
     }
@@ -24,21 +31,43 @@ object Vectors {
   /** Dot product. */
   def dot(a: Array[Float], b: Array[Float]): Double = {
     require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
+    dot(a, 0, b, 0, a.length)
+  }
+
+  /** Dot product of `a(ao until ao+n)` and `b(bo until bo+n)` (the unchecked
+    * kernel behind [[dot]] and flat-array indexes).
+    */
+  def dot(a: Array[Float], ao: Int, b: Array[Float], bo: Int, n: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < a.length) { s += a(i).toDouble * b(i).toDouble; i += 1 }
+    while (i < n) { s += a(ao + i).toDouble * b(bo + i).toDouble; i += 1 }
     s
   }
 
   /** Euclidean norm. */
   def norm(a: Array[Float]): Double = math.sqrt(dot(a, a))
 
-  /** Cosine distance, 1 − cos(a, b); zero vectors are at distance 1. */
+  /** Cosine distance, 1 − cos(a, b); zero vectors are at distance 1.
+    *
+    * One pass with three accumulators; each sum runs in the same order as
+    * `dot(a, b)`, `norm(a)` and `norm(b)` would, so the result is the same
+    * double as the three-pass formula.
+    */
   def cosineDist(a: Array[Float], b: Array[Float]): Double = {
-    val na = norm(a); val nb = norm(b)
-    if (na == 0.0 || nb == 0.0) 1.0
-    else 1.0 - dot(a, b) / (na * nb)
+    require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
+    var ab = 0.0; var aa = 0.0; var bb = 0.0
+    var i = 0
+    while (i < a.length) {
+      val x = a(i).toDouble; val y = b(i).toDouble
+      ab += x * y; aa += x * x; bb += y * y
+      i += 1
+    }
+    cosineOf(ab, math.sqrt(aa), math.sqrt(bb))
   }
+
+  /** Cosine distance from a dot product and the two norms. */
+  def cosineOf(dot: Double, na: Double, nb: Double): Double =
+    if (na == 0.0 || nb == 0.0) 1.0 else 1.0 - dot / (na * nb)
 
   /** Projection of `v` onto direction `h` (plain dot; `h` need not be unit). */
   def project(v: Array[Float], h: Array[Float]): Double = dot(v, h)

@@ -1,9 +1,8 @@
 package repro.lanns
 
-import java.io.{BufferedOutputStream, DataOutputStream, FileOutputStream,
-                ObjectInputStream, ObjectOutputStream, FileInputStream, File}
-import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions.expr
+import java.io.{File, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.nio.file.{Files, Paths}
+import org.apache.spark.sql.Dataset
 import repro.core.{Distance, HnswIndex, HnswParams, IndexMeta, TaggedRow, VecRow}
 import repro.segment.Segmenter
 import scala.collection.mutable
@@ -55,12 +54,14 @@ object LannsMeta {
   *
   * Each document is tagged with a shard id (hash of its key) and one or
   * more segment ids (the shared pre-learnt segmenter; several under
-  * physical spill). Tagged rows are packed into `numExecutors` *slots* —
-  * range partitions over `(shard·m + segment) mod E` — so each Spark task
-  * builds its (shard, segment) groups sequentially, exactly the schedule an
-  * E-executor cluster produces. Every group becomes one serialized
-  * [[HnswIndex]] file written from inside the executor; the driver collects
-  * the per-index metadata and writes [[LannsMeta]].
+  * physical spill). Tagged rows are packed into `numExecutors` [[Slots]] —
+  * group (shard, segment) in slot `(shard·m + segment) mod E` — so each
+  * Spark task builds its (shard, segment) groups sequentially, exactly the
+  * schedule an E-executor cluster produces. Every group is inserted in id
+  * order, so its index file does not depend on E or on shuffle order, and
+  * becomes one serialized [[HnswIndex]] file written from inside the
+  * executor; the driver collects the per-index metadata and writes
+  * [[LannsMeta]].
   */
 object Indexer {
 
@@ -93,13 +94,10 @@ object Indexer {
       segB.value.routeData(r.id, r.vec).map(seg => TaggedRow(r.id, r.vec, shard, seg))
     }
 
-    val slotted = tagged
-      .repartitionByRange(numExecutors, expr(s"(shard * $nSeg + segment) % $numExecutors"))
-
     val dist = distance
     val p = params
     val dir = outDir
-    val metas: Array[IndexMeta] = slotted
+    val metas: Array[IndexMeta] = Slots.pack(tagged, nSeg, numExecutors)(t => (t.shard, t.segment))
       .mapPartitions { it =>
         val groups = mutable.LinkedHashMap.empty[(Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]]
         it.foreach { t =>
@@ -108,7 +106,7 @@ object Indexer {
         }
         groups.iterator.map { case ((s, g), rows) =>
           val t0 = System.nanoTime()
-          val idx = HnswIndex.build(dim, dist, p, rows.iterator)
+          val idx = HnswIndex.build(dim, dist, p, rows.sortBy(_._1).iterator)
           val path = indexPath(dir, s, g)
           writeIndexFile(idx, path)
           IndexMeta(s, g, rows.length.toLong, path, (System.nanoTime() - t0) / 1000000L)
@@ -129,18 +127,16 @@ object Indexer {
 
   /** Serialize one index to the (HDFS-substitute) filesystem, executor-side. */
   def writeIndexFile(idx: HnswIndex, path: String): Unit = {
-    val f = new File(path)
-    Option(f.getParentFile).foreach(_.mkdirs())
-    val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f)))
-    try idx.writeTo(out)
-    finally out.close()
+    Option(new File(path).getParentFile).foreach(_.mkdirs())
+    Files.write(Paths.get(path), idx.toBytes)
   }
 
-  /** Load one serialized index (executor-side at query time). */
+  /** Load one serialized index (executor-side at query time); a corrupt
+    * file fails with an `IllegalArgumentException` naming `path`.
+    */
   def readIndexFile(path: String): HnswIndex = {
-    val in = new java.io.DataInputStream(
-      new java.io.BufferedInputStream(new java.io.FileInputStream(path)))
-    try HnswIndex.readFrom(in)
-    finally in.close()
+    val bytes = Files.readAllBytes(Paths.get(path))
+    try HnswIndex.fromBytes(bytes)
+    catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"$path: ${e.getMessage}", e) }
   }
 }

@@ -9,7 +9,7 @@ import scala.collection.mutable
 /** Distributed querying over a two-level partitioned index (§5.3, Figure 7).
   *
   * Queries are routed (every shard; the segmenter's virtual-spill segment
-  * set) and packed into executor slots like the indexer. Each task loads its
+  * set) and packed into executor [[Slots]] like the indexer. Each task loads its
   * (shard, segment) index once, runs partial HNSW searches, and emits
   * per-segment hits. Merging is two-level, mirroring the online system:
   * segment hits merge *within* a shard first (keeping the perShardTopK best,
@@ -64,12 +64,9 @@ object Querier {
       } yield RoutedQuery(q.qid, q.vec, s, g)
     }
 
-    val slotted = routed
-      .repartitionByRange(numExecutors, expr(s"(shard * $nSeg + segment) % $numExecutors"))
-
-    val dist = meta.distance
     val ef = math.max(efSearch, kShard)
     val kPartial = kShard
+    val slotted = Slots.pack(routed, nSeg, numExecutors)(r => (r.shard, r.segment))
     val rawHits: Dataset[Hit] = slotted.mapPartitions { it =>
       val byGroup = mutable.LinkedHashMap.empty[(Int, Int), mutable.ArrayBuffer[(Long, Array[Float])]]
       it.foreach { r =>
@@ -82,7 +79,7 @@ object Querier {
           idx.search(vec, kPartial, ef).iterator.map(n => Hit(qid, s, g, n.id, n.dist))
         }
       }
-    }
+    }.toDS()
 
     val hits = checkpointDir match {
       case Some(dir) => checkpoint(rawHits.toDF(), s"$dir/partial_hits")

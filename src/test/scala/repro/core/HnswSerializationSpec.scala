@@ -75,4 +75,63 @@ class HnswSerializationSpec extends AnyFunSuite {
     val s400 = sampleIndex(400, 4).toBytes.length
     assert(s400 > 2 * s100 && s400 < 8 * s100)
   }
+
+  // ---- the loader rejects corrupt files with IllegalArgumentException ----
+
+  private lazy val good = sampleIndex(300, 6).toBytes
+  private lazy val layout = IndexFileLayout.parse(good)
+
+  private def rejected(bytes: Array[Byte], hint: String): Unit = {
+    val e = intercept[IllegalArgumentException](HnswIndex.fromBytes(bytes))
+    assert(e.getMessage.contains(hint), e.getMessage)
+  }
+
+  test("a truncated file is rejected") {
+    val upper = layout.nodes.find(_.level > 0).get
+    val cuts = Seq(0, 3, 12, 40, layout.entryAt + 6, layout.nodes(1).levelAt + 2,
+      layout.nodes(1).levelAt + 10, upper.layers(1).countAt + 6, good.length - 1)
+    cuts.foreach(c => rejected(good.take(c), "truncated"))
+  }
+
+  test("a negative level is rejected") {
+    rejected(IndexFileLayout.withInt(good, layout.nodes(7).levelAt, -1), "negative level")
+  }
+
+  test("a neighbour count above the layer's cap is rejected") {
+    val n0 = layout.nodes(3).layers(0)
+    rejected(IndexFileLayout.withInt(good, n0.countAt, 2 * params.m + 1), "cap")
+    val up = layout.nodes.find(_.level > 0).get.layers(1)
+    rejected(IndexFileLayout.withInt(good, up.countAt, params.m + 1), "cap")
+    rejected(IndexFileLayout.withInt(good, n0.countAt, -1), "cap")
+  }
+
+  test("a neighbour id outside [0, n) is rejected") {
+    val at = layout.nodes(4).layers(0).countAt + 4
+    rejected(IndexFileLayout.withInt(good, at, layout.n), "outside")
+    rejected(IndexFileLayout.withInt(good, at, -1), "outside")
+  }
+
+  test("an entry point outside [0, n) is rejected") {
+    rejected(IndexFileLayout.withInt(good, layout.entryAt, layout.n), "entry point")
+    rejected(IndexFileLayout.withInt(good, layout.entryAt, -1), "entry point")
+  }
+
+  test("an upper-layer link to a node below that layer is rejected") {
+    val from = layout.nodes.find(n => n.level > 0 && n.layers(1).ids.nonEmpty).get
+    val low = layout.nodes.indexWhere(_.level == 0)
+    rejected(IndexFileLayout.withInt(good, from.layers(1).countAt + 4, low), "above its level")
+  }
+
+  test("an entry point below the top level is rejected") {
+    val top = layout.nodes.map(_.level).max
+    rejected(IndexFileLayout.withInt(good, layout.entryAt + 4, top + 1), "top level")
+  }
+
+  test("Indexer.readIndexFile names the file it could not load") {
+    val f = java.io.File.createTempFile("corrupt", ".hnsw")
+    f.deleteOnExit()
+    java.nio.file.Files.write(f.toPath, good.take(good.length / 2))
+    val e = intercept[IllegalArgumentException](repro.lanns.Indexer.readIndexFile(f.getPath))
+    assert(e.getMessage.contains(f.getPath) && e.getMessage.contains("truncated"), e.getMessage)
+  }
 }

@@ -110,4 +110,34 @@ class VectorsSpec extends AnyFunSuite {
       ac <= ab + bc + 1e-4
     })
   }
+
+  test("cosineDist rejects dimension mismatch, also for a zero vector") {
+    intercept[IllegalArgumentException](Vectors.cosineDist(Array(1f), Array(1f, 2f)))
+    intercept[IllegalArgumentException](Vectors.cosineDist(Array(0f), Array(1f, 2f)))
+  }
+
+  private val anyVec: Gen[Array[Float]] = Gen.oneOf(
+    Gen.choose(1, 130).flatMap(vecGen),
+    Gen.choose(1, 8).map(d => new Array[Float](d)))
+
+  test("property: fused cosineDist is bit-identical to the three-pass formula") {
+    check(Prop.forAll(anyVec, Gen.choose(0, 1000).map(_.toLong)) { (a, seed) =>
+      val rng = new java.util.Random(seed)
+      val b = Array.fill(a.length)((rng.nextGaussian() * 50).toFloat)
+      Seq((a, b), (b, a), (a, a), (a, new Array[Float](a.length))).forall { case (x, y) =>
+        val na = math.sqrt(Vectors.dot(x, x)); val nb = math.sqrt(Vectors.dot(y, y))
+        val threePass = if (na == 0.0 || nb == 0.0) 1.0 else 1.0 - Vectors.dot(x, y) / (na * nb)
+        java.lang.Double.doubleToRawLongBits(Vectors.cosineDist(x, y)) ==
+          java.lang.Double.doubleToRawLongBits(threePass)
+      }
+    })
+  }
+
+  test("property: offset kernels equal the array kernels on the same sub-ranges") {
+    check(Prop.forAll(Gen.choose(1, 40).flatMap(d => Gen.zip(vecGen(d + 5), vecGen(d + 3), Gen.const(d)))) {
+      case (a, b, d) =>
+        val x = a.slice(5, 5 + d); val y = b.slice(1, 1 + d)
+        Vectors.dot(a, 5, b, 1, d) == Vectors.dot(x, y) && Vectors.l2sq(a, 5, b, 1, d) == Vectors.l2sq(x, y)
+    })
+  }
 }

@@ -1,6 +1,6 @@
 package repro.lanns
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 import repro.{SparkSpec, VectorData}
 import repro.core.{Distance, HnswParams}
 import repro.segment.{RandomSegmenter, SegmenterLearner}
@@ -89,14 +89,17 @@ class IndexerSpec extends SparkSpec {
   }
 
   test("executor slotting does not change what gets indexed") {
+    // Groups are inserted in id order, so every index file is the same bytes
+    // at any executor count, whatever order the shuffle delivers rows in.
     val data = VectorData.clustered(spark, 900, 8, 4, seed = 8L)
-    val m1 = Indexer.build(data, 8, 2, new RandomSegmenter(4, 5L), Distance.Euclidean,
-      params, tmpDir(), numExecutors = 1)
-    val m8 = Indexer.build(data, 8, 2, new RandomSegmenter(4, 5L), Distance.Euclidean,
-      params, tmpDir(), numExecutors = 8)
-    val c1 = m1.indexes.map(im => (im.shard, im.segment) -> im.count).toMap
-    val c8 = m8.indexes.map(im => (im.shard, im.segment) -> im.count).toMap
-    assert(c1 === c8)
+    def files(e: Int): Map[(Int, Int), Seq[Byte]] = {
+      val m = Indexer.build(data, 8, 2, new RandomSegmenter(4, 5L), Distance.Euclidean,
+        params, tmpDir(), numExecutors = e)
+      m.indexes.map(im => (im.shard, im.segment) -> Files.readAllBytes(Paths.get(im.path)).toSeq).toMap
+    }
+    val f1 = files(1)
+    assert(f1.size === 8)
+    Seq(3, 8).foreach(e => assert(files(e) === f1, s"E = $e"))
   }
 
   test("empty (shard, segment) groups yield no index files") {
